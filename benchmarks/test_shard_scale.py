@@ -7,7 +7,7 @@ board index, and zero-overhead untraced path exist so replay stays *linear*
 at six-figure job counts; this benchmark proves it end-to-end through the
 sharded driver: generate a 10^5-job Poisson trace, route it across 8 shard
 fleets with the consistent-hash :class:`~repro.cloud.shard.ShardRouter`, and
-replay every shard on its own worker.  The gate demands a per-job replay
+replay every shard in turn on its own simulator.  The gate demands a per-job replay
 rate >= 10x the seed anchor; the full report (p50/p99/p999 wait, per-shard
 utilization, affinity hit-rate, throughput) lands in ``BENCH_shard.json``.
 
@@ -39,8 +39,8 @@ def test_shard_scale_replay_rate_gate():
         NUM_JOBS, seed=42, arrival="poisson", rate_jobs_per_s=200.0
     )
     # Two timed runs, best-of: the first pays one-time costs (pricing-cache
-    # fills, thread-pool spin-up) that are noise against a >=10^5-job trace
-    # but dominate a reduced CI smoke run.
+    # fills, first-touch allocations) that are noise against a >=10^5-job
+    # trace but dominate a reduced CI smoke run.
     wall = report = None
     for _ in range(2):
         start = time.perf_counter()
@@ -48,7 +48,6 @@ def test_shard_scale_replay_rate_gate():
             trace,
             num_shards=NUM_SHARDS,
             boards_per_shard=BOARDS_PER_SHARD,
-            executor="thread",
         )
         elapsed = time.perf_counter() - start
         if wall is None or elapsed < wall:
@@ -79,7 +78,6 @@ def test_shard_scale_replay_rate_gate():
         jobs=report.jobs,
         shards=len(report.shard_stats),
         boards_per_shard=BOARDS_PER_SHARD,
-        executor=report.executor,
         wall_s=round(wall, 4),
         jobs_per_sec=round(report.jobs / wall, 1),
         per_job_us=round(per_job_us, 2),

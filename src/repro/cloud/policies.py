@@ -1,35 +1,30 @@
 """The shared scheduling core: one policy implementation, two consumers.
 
-Scheduling logic used to live twice -- functionally in
-:class:`~repro.cloud.scheduler.FleetScheduler` (which moves real bytes) and
-analytically in :class:`~repro.sim.cloud.CloudSimulator` (which prices time)
--- and the two could silently diverge.  This module is the single source of
-truth both import:
+Both :class:`~repro.cloud.scheduler.FleetScheduler` (which moves real bytes)
+and :class:`~repro.sim.cloud.CloudSimulator` (which prices time) schedule
+through this module, so the two cannot diverge:
 
 * a **policy zoo** deciding *which* queued job runs next -- FIFO, strict
   priority, weighted fair-share per tenant, and shortest-job-first -- over a
   neutral :class:`JobRequest` view that either consumer can build from its
-  own job representation, and
-* a **placement rule**, :func:`choose_board`, deciding *where* the job runs:
-  among the available boards, prefer one whose resident (warm) Shield already
-  belongs to the job's session, otherwise the longest-idle board.  Warm
-  placement is what turns the paper's ~6.2 s partial-reconfiguration Shield
-  load (Section 6.1) from a per-job cost into a per-session one.
+  own job representation.  Each policy vends an indexed queue
+  (:meth:`SchedulingPolicy.make_queue`): FIFO rides a deque, priority and SJF
+  ride lazy-deletion heaps, and weighted fair-share rides per-tenant
+  subqueues under a lazily re-keyed heap, so a pick costs O(log n);
+* a **placement rule**, :class:`BoardIndex`, deciding *where* the job runs
+  and who stays resident afterwards.  ``place`` prefers a free board whose
+  resident (warm) Shield already belongs to the job's session, otherwise the
+  longest-idle board; ``release`` frees a board and records whose Shield it
+  keeps.  Warm placement is what turns the paper's ~6.2 s
+  partial-reconfiguration Shield load (Section 6.1) from a per-job cost into
+  a per-session one, and keeping the residency record in one place is what
+  keeps the clean-slate guarantee between tenants in one place too.
 
 Policies are small stateful objects (weighted fair-share accumulates served
 cost per tenant), so each scheduler or simulator instantiates its own via
-:func:`make_policy` and replays stay deterministic.
-
-Selection used to be a linear ``min()`` scan over a queue snapshot on every
-dispatch -- O(n) per pick, O(n^2) per drained queue -- which capped replays at
-thousands of jobs.  Each policy now also vends an **indexed queue**
-(:meth:`SchedulingPolicy.make_queue`): FIFO rides a deque, priority and SJF
-ride lazy-deletion heaps, and weighted fair-share rides a lazily re-keyed
-heap, so both consumers pick the next job in O(log n) while staying
-*selection-identical* to the linear scans (the conformance suite asserts it,
-seq tie-breaks included).  :class:`BoardIndex` does the same for placement:
-instead of rebuilding a :class:`BoardView` list per dispatch it keeps the
-free fleet and the per-session warm boards in incrementally maintained heaps.
+:func:`make_policy` and replays stay deterministic.  The O(n) linear-scan
+definitions the indexed structures must agree with (seq tie-breaks
+included) live with the conformance tests, as their oracle.
 """
 
 from __future__ import annotations
@@ -61,32 +56,15 @@ class JobRequest:
     cost_estimate: float = 1.0
 
 
-@dataclass(frozen=True)
-class BoardView:
-    """A policy's view of one *available* board at placement time."""
-
-    name: str
-    #: Preference order among the available boards (0 = longest idle /
-    #: earliest released).  Ties never occur: ranks are distinct by
-    #: construction.
-    rank: int
-    #: Session whose Shield is still resident (warm) on the board, if any.
-    resident_session: Optional[str] = None
-
-
 class SchedulingPolicy:
-    """Base class: pick the next job out of the queue.
+    """Base class: an ordering over queued jobs, served by an indexed queue.
 
-    ``select`` returns an *index* into the queue snapshot it is given; the
-    caller pops that entry.  ``record_service`` feeds served cost back so
-    stateful policies (fair-share) can steer future picks; stateless policies
-    ignore it.
+    :meth:`make_queue` vends the queue that picks the next job;
+    ``record_service`` feeds served cost back so stateful policies
+    (fair-share) can steer future picks; stateless policies ignore it.
     """
 
     name = "base"
-
-    def select(self, queue: Sequence[JobRequest]) -> int:
-        raise NotImplementedError
 
     def record_service(self, request: JobRequest, cost: Optional[float] = None) -> None:
         """Account ``cost`` (default: the request's estimate) as served."""
@@ -96,23 +74,14 @@ class SchedulingPolicy:
         return {}
 
     def make_queue(self) -> "PolicyQueue":
-        """An indexed queue bound to this policy instance.
-
-        The base implementation wraps :meth:`select` in a linear-scan queue,
-        so third-party policies work unchanged; the built-in policies
-        override it with O(log n) structures that are selection-identical to
-        their linear scans.
-        """
-        return LinearPolicyQueue(self)
+        """An indexed queue bound to this policy instance."""
+        raise NotImplementedError
 
 
 class FifoPolicy(SchedulingPolicy):
     """Strict arrival order (the seed's only behaviour)."""
 
     name = "fifo"
-
-    def select(self, queue: Sequence[JobRequest]) -> int:
-        return min(range(len(queue)), key=lambda i: queue[i].seq)
 
     def make_queue(self) -> "PolicyQueue":
         return FifoQueue(self)
@@ -123,9 +92,6 @@ class PriorityPolicy(SchedulingPolicy):
 
     name = "priority"
 
-    def select(self, queue: Sequence[JobRequest]) -> int:
-        return min(range(len(queue)), key=lambda i: (-queue[i].priority, queue[i].seq))
-
     def make_queue(self) -> "PolicyQueue":
         return HeapPolicyQueue(self, lambda r: (-r.priority, r.seq))
 
@@ -134,9 +100,6 @@ class ShortestJobFirstPolicy(SchedulingPolicy):
     """Smallest estimated cost first; FIFO among equals (minimizes mean wait)."""
 
     name = "sjf"
-
-    def select(self, queue: Sequence[JobRequest]) -> int:
-        return min(range(len(queue)), key=lambda i: (queue[i].cost_estimate, queue[i].seq))
 
     def make_queue(self) -> "PolicyQueue":
         return HeapPolicyQueue(self, lambda r: (r.cost_estimate, r.seq))
@@ -156,14 +119,6 @@ class WeightedFairSharePolicy(SchedulingPolicy):
     def __init__(self) -> None:
         self._served: dict = {}
 
-    def select(self, queue: Sequence[JobRequest]) -> int:
-        def rank(i: int):
-            request = queue[i]
-            share = self._served.get(request.tenant, 0.0) / max(request.weight, 1e-12)
-            return (share, request.seq)
-
-        return min(range(len(queue)), key=rank)
-
     def record_service(self, request: JobRequest, cost: Optional[float] = None) -> None:
         amount = request.cost_estimate if cost is None else cost
         self._served[request.tenant] = self._served.get(request.tenant, 0.0) + amount
@@ -176,18 +131,17 @@ class WeightedFairSharePolicy(SchedulingPolicy):
 
 
 # ---------------------------------------------------------------------------
-# Indexed policy queues: O(log n) selection, selection-identical to select()
+# Indexed policy queues: O(log n) selection
 # ---------------------------------------------------------------------------
 
 
 class PolicyQueue:
     """An incrementally indexed job queue bound to one policy instance.
 
-    The linear protocol (snapshot the queue, ``select`` an index, pop it)
-    re-ranks every queued job on every dispatch; at 10^5-job replay depths
-    that is quadratic.  A ``PolicyQueue`` keeps the ranking structure *live*
+    Re-ranking every queued job on every dispatch is quadratic at 10^5-job
+    replay depths.  A ``PolicyQueue`` keeps the ranking structure *live*
     across dispatches: ``push`` indexes one arrival, ``pop`` removes and
-    returns the exact job ``select`` would have picked.
+    returns the policy's minimum (ties broken by the lowest ``seq``).
 
     ``payload`` is whatever the consumer wants back alongside the
     :class:`JobRequest` (the functional scheduler stores the
@@ -242,52 +196,6 @@ class PolicyQueue:
         relies on.
         """
         raise NotImplementedError
-
-
-class LinearPolicyQueue(PolicyQueue):
-    """The compatibility queue: a list snapshot driven by ``policy.select``.
-
-    O(n) per pick -- exactly the pre-indexed behaviour -- which makes it both
-    the fallback for third-party policies that only implement ``select`` and
-    the reference the conformance suite replays against the indexed queues.
-    """
-
-    def __init__(self, policy: SchedulingPolicy):
-        super().__init__(policy)
-        self._entries: list = []
-
-    def push(self, request: JobRequest, payload=None) -> None:
-        self._entries.append((request, payload))
-        self._count(request, +1)
-
-    def pop(self, eligible=None) -> Optional[tuple]:
-        if eligible is None:
-            candidates = list(enumerate(self._entries))
-        else:
-            candidates = [
-                (index, entry)
-                for index, entry in enumerate(self._entries)
-                if eligible(entry[1])
-            ]
-        if not candidates:
-            return None
-        picked = self.policy.select([entry[0] for _, entry in candidates])
-        index, entry = candidates[picked]
-        del self._entries[index]
-        self._count(entry[0], -1)
-        return entry
-
-    def remove(self, predicate=None) -> list:
-        removed, kept = [], []
-        for entry in self._entries:
-            if predicate is None or predicate(entry[1]):
-                removed.append(entry)
-            else:
-                kept.append(entry)
-        self._entries = kept
-        for request, _ in removed:
-            self._count(request, -1)
-        return removed
 
 
 class FifoQueue(PolicyQueue):
@@ -574,117 +482,97 @@ def make_policy(policy) -> SchedulingPolicy:
         ) from None
 
 
-def choose_board(
-    request: JobRequest,
-    boards: Sequence[BoardView],
-    prefer_affinity: bool = True,
-) -> BoardView:
-    """Pick the board for a selected job: warm affinity first, then rank.
-
-    With ``prefer_affinity``, a board whose resident Shield belongs to the
-    job's session wins (skipping the partial-reconfiguration load); otherwise
-    -- and among several warm candidates -- the lowest rank (longest idle)
-    wins, which rotates load across the fleet exactly like the seed's
-    round-robin.
-    """
-    if not boards:
-        raise SchedulingError("choose_board needs at least one available board")
-    if prefer_affinity:
-        warm = [b for b in boards if b.resident_session == request.session_id]
-        if warm:
-            return min(warm, key=lambda b: b.rank)
-    return min(boards, key=lambda b: b.rank)
-
-
 class BoardIndex:
-    """Incrementally maintained free fleet + warm-affinity lookup.
+    """The placement rule: free fleet, warm-affinity lookup, residency.
 
-    Both consumers used to rebuild a :class:`BoardView` list on every
-    dispatch and hand it to :func:`choose_board` -- O(boards) per job even
-    when nothing changed.  ``BoardIndex`` keeps the same semantics live:
-    every board that becomes free gets a monotonically increasing *stamp*
-    (its release order -- the old deque position / ``rank``), the free fleet
-    is a min-stamp heap (longest idle first), and each session with warm
-    residencies has its own min-stamp heap of candidate boards.
+    Every board that becomes free gets a monotonically increasing *stamp*
+    (its release order); the free fleet is a min-stamp heap (longest idle
+    first, which rotates load across the fleet like the seed's round-robin),
+    and each session with warm residencies has its own min-stamp heap of
+    candidate boards.  ``place`` and ``release`` are the whole protocol:
+    ``place`` claims a board and says whether it is warm, ``release`` frees a
+    board and records whose Shield stays resident on it.
 
-    Heaps are lazy: an entry is trusted only if the board is still free under
-    the same stamp (and, for warm entries, still resident for that session),
-    so ``evict`` and cross-session placement never have to search a heap.
-    ``place`` is selection-identical to ``choose_board`` over the equivalent
-    view list: warm minimum first when affinity is preferred, else the global
-    minimum stamp.
+    Residency is recorded at release and read only for free boards -- a busy
+    board's record is stale until its job releases it, and ``place`` never
+    looks at busy boards.  Heaps are lazy: an entry is trusted only if the
+    board is still free under the same stamp (and, for warm entries, still
+    resident for that session), so eviction and cross-session placement never
+    have to search a heap.
     """
 
-    def __init__(self, names: Sequence, resident: Optional[dict] = None):
-        #: board name -> resident (warm) session; shared with the caller when
-        #: one is passed, so ``evict``-style writes need no mirroring.
-        self.resident = resident if resident is not None else {}
+    def __init__(self, names: Sequence):
+        #: board name -> session whose Shield stays resident while it is free.
+        self.resident: dict = {}
         self._next_stamp = 0
         self._free: dict = {}
         self._free_heap: list = []
         self._warm: dict = {}
         for name in names:
-            self.resident.setdefault(name, None)
             self.release(name)
 
     def __len__(self) -> int:
         return len(self._free)
 
+    def __contains__(self, name) -> bool:
+        """Whether ``name`` is free."""
+        return name in self._free
+
     @property
     def free_names(self) -> list:
-        """Free boards in rank (release) order -- the old deque view."""
+        """Free boards in rank (release) order, longest idle first."""
         return sorted(self._free, key=self._free.__getitem__)
 
-    def add_board(self, name, resident=None) -> None:
+    def add_board(self, name) -> None:
         """Register a new (autoscaled-in) board and free it, coldest rank."""
-        self.resident[name] = resident
         self.release(name)
 
-    def release(self, name) -> None:
-        """Return a board to the free pool at the back of the rotation."""
-        stamp = self._next_stamp
-        self._next_stamp += 1
-        self._free[name] = stamp
-        heapq.heappush(self._free_heap, (stamp, name))
-        session = self.resident.get(name)
+    def release(self, name, session=None) -> None:
+        """Free ``name`` with ``session``'s Shield resident (``None``: cold).
+
+        A busy board rejoins the free pool at the back of the rotation.
+        Releasing a board that is already free only rewrites who is resident
+        (an idle eviction) and keeps its rank.
+        """
+        self.resident[name] = session
+        stamp = self._free.get(name)
+        if stamp is None:
+            stamp = self._next_stamp
+            self._next_stamp += 1
+            self._free[name] = stamp
+            heapq.heappush(self._free_heap, (stamp, name))
         if session is not None:
             heapq.heappush(self._warm.setdefault(session, []), (stamp, name))
-
-    def set_resident(self, name, session) -> None:
-        """Record the board's resident Shield (``None`` evicts)."""
-        self.resident[name] = session
-        if session is not None and name in self._free:
-            heapq.heappush(
-                self._warm.setdefault(session, []), (self._free[name], name)
-            )
 
     def discard(self, name) -> None:
         """Drop a free (autoscaled-out) board from the pool entirely."""
         if self._free.pop(name, None) is None:
             raise SchedulingError(f"board {name!r} is not free, cannot discard")
-        self.resident.pop(name, None)
+        del self.resident[name]
 
-    def place(self, session_id, prefer_affinity: bool = True):
-        """Claim and return the board :func:`choose_board` would pick."""
-        if prefer_affinity:
+    def place(self, session_id, affinity: bool = True) -> tuple:
+        """Claim a free board for a job of ``session_id``: ``(board, warm)``.
+
+        With ``affinity``, the longest-idle board holding the session's
+        Shield wins and ``warm`` is True (the Shield load is skipped).
+        Otherwise -- or when no such board is free -- the longest-idle board
+        wins, cold: every free board resident for the session has an entry
+        in its warm heap, so a miss there means none is.
+        """
+        if affinity:
             heap = self._warm.get(session_id)
-            while heap:
-                stamp, name = heap[0]
-                if (
-                    self._free.get(name) == stamp
-                    and self.resident.get(name) == session_id
-                ):
-                    heapq.heappop(heap)
-                    if not heap:
-                        del self._warm[session_id]
-                    del self._free[name]
-                    return name
-                heapq.heappop(heap)
-            if heap is not None and not heap:
-                self._warm.pop(session_id, None)
+            if heap is not None:
+                while heap:
+                    stamp, name = heapq.heappop(heap)
+                    if self._free.get(name) == stamp and self.resident[name] == session_id:
+                        if not heap:
+                            del self._warm[session_id]
+                        del self._free[name]
+                        return name, True
+                del self._warm[session_id]
         while self._free_heap:
             stamp, name = heapq.heappop(self._free_heap)
             if self._free.get(name) == stamp:
                 del self._free[name]
-                return name
+                return name, False
         raise SchedulingError("place() needs at least one available board")

@@ -118,18 +118,14 @@ class FleetScheduler:
             raise SchedulingError("tenant_quota must be positive (or None for unbounded)")
         self._board_names = list(board_names)
         self.policy = make_policy(policy)
-        #: Indexed policy queue: O(log n) selection, selection-identical to
-        #: the linear scans (see :class:`~repro.cloud.policies.PolicyQueue`).
+        #: Indexed policy queue: O(log n) selection (see
+        #: :class:`~repro.cloud.policies.PolicyQueue`).
         self._queue = self.policy.make_queue()
         self.affinity = bool(affinity)
         self.queue_cap = queue_cap
         self.tenant_quota = tenant_quota
-        #: board name -> session the board's resident (warm) Shield belongs to.
-        #: Shared with the :class:`BoardIndex`, so ``evict`` is one dict write.
-        self.resident_sessions: dict = {name: None for name in board_names}
-        #: Incremental free-fleet + warm-affinity index (replaces rebuilding
-        #: BoardView lists per dispatch).
-        self._boards = BoardIndex(board_names, resident=self.resident_sessions)
+        #: The shared placement rule: free fleet, warm lookup, residency.
+        self._boards = BoardIndex(board_names)
         #: board name -> recent session ids placed on it (bounded ring).
         self._history: dict = {
             name: deque(maxlen=history_limit) for name in board_names
@@ -222,8 +218,7 @@ class FleetScheduler:
         if popped is None:
             return None
         view, job = popped
-        board_name = self._boards.place(job.session_id, prefer_affinity=self.affinity)
-        warm = self.affinity and self.resident_sessions[board_name] == job.session_id
+        board_name, warm = self._boards.place(job.session_id, self.affinity)
         if warm:
             self.affinity_hits += 1
         job.state = JobState.RUNNING
@@ -247,22 +242,26 @@ class FleetScheduler:
         if job.state is not JobState.RUNNING or job.board_name is None:
             raise SchedulingError(f"job {job.job_id!r} is not running on any board")
         keep_warm = self.affinity and completed
-        self.resident_sessions[job.board_name] = job.session_id if keep_warm else None
-        self._boards.release(job.board_name)
+        self._boards.release(job.board_name, job.session_id if keep_warm else None)
         job.state = JobState.COMPLETED if completed else JobState.FAILED
         job.error = error
         self._gauge_update()
 
     @loop_owned
     def evict(self, board_name: str) -> None:
-        """Forget the board's resident Shield (the service tore it down)."""
-        self.resident_sessions[board_name] = None
+        """Forget the board's resident Shield (the service tore it down).
+
+        Only an idle board needs the record rewritten: a busy board's
+        residency is recorded when its job releases it.
+        """
+        if board_name in self._boards:
+            self._boards.release(board_name, None)
 
     def boards_resident_for(self, session_id: str) -> list:
-        """Boards currently holding this session's warm Shield."""
+        """Idle boards holding this session's warm Shield."""
         return [
-            name for name, resident in self.resident_sessions.items()
-            if resident == session_id
+            name for name, resident in self._boards.resident.items()
+            if resident == session_id and name in self._boards
         ]
 
     @loop_owned

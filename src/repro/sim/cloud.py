@@ -195,18 +195,21 @@ class CloudSimulator:
         board whose last job belonged to the same session (warm, load cost
         zero).  Free boards are ranked in release order (seeded by board
         index), the timed analogue of the functional scheduler's longest-idle
-        rotation, so placements are deterministic, selection-identical to the
-        pre-indexed linear scans, and match the functional fleet wherever
-        time permits a comparison.
+        rotation, so placements are deterministic and match the functional
+        fleet wherever time permits a comparison.
 
         ``autoscaler`` is an optional queue-depth-driven controller (see
         :class:`~repro.cloud.shard.QueueDepthAutoscaler`): it is consulted as
         modelled time advances and may grow the fleet with cold boards or
         drain idle ones; ``None`` keeps the fleet fixed at zero overhead.
         """
+        return self._replay_records(trace, autoscaler)[1]
+
+    def _replay_records(self, trace: list, autoscaler) -> tuple:
+        """``(ReplayStats, [CloudJobRecord, ...])`` of one replay."""
         rows: list = []
-        self._replay(trace, autoscaler, rows)
-        return [
+        stats = self._replay(trace, autoscaler, rows)
+        return stats, [
             CloudJobRecord(
                 tenant=event.tenant,
                 workload=event.profile.name,
@@ -254,11 +257,10 @@ class CloudSimulator:
         arrival_times = [event.arrival_s for event in events]
         num_events = len(events)
         next_arrival = 0
-        resident: dict = {}
-        boards = BoardIndex(range(self.num_boards), resident=resident)
+        boards = BoardIndex(range(self.num_boards))
         next_board = self.num_boards
         active_boards = self.num_boards
-        busy: list = []  # (finish_s, board) min-heap
+        busy: list = []  # (finish_s, board, session left resident) min-heap
         admitted: set = set()
         # The modelled service time of a profile/config pair never changes
         # mid-replay; generated traces draw events from a small workload
@@ -322,12 +324,10 @@ class CloudSimulator:
             while len(queue) and len(boards):
                 request, event = queue.pop()
                 session = request.session_id
-                board = boards.place(session, affinity)
-                warm = affinity and resident[board] == session
+                board, warm = boards.place(session, affinity)
                 load = 0.0 if warm else load_cost
                 finish = now + load + request.cost_estimate
-                heapq.heappush(busy, (finish, board))
-                resident[board] = session if affinity else None
+                heapq.heappush(busy, (finish, board, session if affinity else None))
                 policy.record_service(request)
                 if traced:
                     self._emit_job_events(
@@ -353,7 +353,8 @@ class CloudSimulator:
                 capacity_s += active_boards * (frontier - now)
                 now = frontier
             while busy and busy[0][0] <= now:
-                boards.release(heapq.heappop(busy)[1])
+                _, board, session = heapq.heappop(busy)
+                boards.release(board, session)
         return ReplayStats(
             jobs=len(waits),
             makespan_s=now,
@@ -402,13 +403,10 @@ class CloudSimulator:
         self, trace: list, experiment_id: str = "cloud-trace"
     ) -> ExperimentResult:
         """Replay and package the outcome as a renderable/exportable experiment."""
-        records = self.replay(trace)
+        stats, records = self._replay_records(trace, None)
         if not records:
             raise SimulationError("cannot replay an empty trace")
-        makespan = max(r.finish_s for r in records)
         busy = sum(r.service_s for r in records)
-        warm_hits = sum(1 for r in records if r.warm)
-        waits = [r.wait_s for r in records]
         tenant_fairness = {}
         for record in records:
             entry = tenant_fairness.setdefault(record.tenant, {"jobs": 0, "busy_s": 0.0})
@@ -430,14 +428,14 @@ class CloudSimulator:
                 "num_boards": self.num_boards,
                 "policy": make_policy(self.policy).name,
                 "affinity": self.affinity,
-                "makespan_s": round(makespan, 3),
-                "board_utilization": round(busy / (self.num_boards * makespan), 3),
-                "mean_wait_s": round(sum(waits) / len(records), 3),
-                "wait_p50_s": round(percentile(waits, 50.0), 3),
-                "wait_p99_s": round(percentile(waits, 99.0), 3),
-                "shield_loads": len(records) - warm_hits,
-                "affinity_hits": warm_hits,
-                "affinity_hit_rate": round(warm_hits / len(records), 3),
+                "makespan_s": round(stats.makespan_s, 3),
+                "board_utilization": round(stats.utilization, 3),
+                "mean_wait_s": round(sum(stats.waits) / stats.jobs, 3),
+                "wait_p50_s": round(stats.wait_percentile(50.0), 3),
+                "wait_p99_s": round(stats.wait_percentile(99.0), 3),
+                "shield_loads": stats.shield_loads,
+                "affinity_hits": stats.warm_hits,
+                "affinity_hit_rate": round(stats.affinity_hit_rate, 3),
                 "tenant_fairness": tenant_fairness,
             },
         )

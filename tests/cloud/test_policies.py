@@ -1,28 +1,31 @@
 """Unit behaviour of the shared scheduling core (repro.cloud.policies).
 
 These tests pin the policy zoo's selection semantics and the warm-affinity
-placement rule in isolation -- the conformance suite then checks that the
-functional scheduler and the timed simulator consume them identically.
+placement rule in isolation, against the linear-scan oracle in
+``tests/cloud/policy_oracle.py`` -- the conformance suite then checks that
+the functional scheduler and the timed simulator consume them identically.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro.cloud.policies import (
     POLICIES,
     POLICY_NAMES,
-    BoardView,
+    BoardIndex,
     FifoPolicy,
     JobRequest,
     PriorityPolicy,
     SchedulingPolicy,
     ShortestJobFirstPolicy,
     WeightedFairSharePolicy,
-    choose_board,
     make_policy,
 )
 from repro.errors import SchedulingError
+from tests.cloud.policy_oracle import BoardView, choose_board, select
 
 
 def _request(seq, tenant="t", session=None, priority=0, weight=1.0, cost=1.0):
@@ -42,7 +45,7 @@ def _drain(policy: SchedulingPolicy, queue: list) -> list:
     queue = list(queue)
     order = []
     while queue:
-        index = policy.select(queue)
+        index = select(policy, queue)
         request = queue.pop(index)
         policy.record_service(request)
         order.append(request.key)
@@ -147,6 +150,64 @@ def test_choose_board_prefers_warm_then_rank():
     assert choose_board(request, twice_warm).name == "b1"
     with pytest.raises(SchedulingError):
         choose_board(request, [])
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_board_index_matches_choose_board_on_randomized_streams(affinity):
+    """``BoardIndex`` against the linear ``choose_board`` over an explicit
+    free-board model: placements and warm flags, releases with and without a
+    resident session, idle evictions (rank kept), and autoscaler
+    ``add_board`` / longest-idle ``discard``."""
+    for trial in range(20):
+        rng = random.Random(7919 * trial + affinity)
+        index = BoardIndex(range(4))
+        free = {name: name for name in range(4)}  # free board -> rank
+        resident = dict.fromkeys(range(4))
+        busy = []
+        next_rank = next_name = 4
+        for _ in range(400):
+            action = rng.random()
+            if action < 0.4 and free:
+                session = f"sess-{rng.randrange(5)}"
+                views = [BoardView(name, rank, resident[name]) for name, rank in free.items()]
+                expected = choose_board(
+                    _request(0, session=session), views, prefer_affinity=affinity
+                )
+                board, warm = index.place(session, affinity)
+                assert board == expected.name
+                assert warm == (affinity and expected.resident_session == session)
+                del free[board]
+                busy.append(board)
+            elif action < 0.75 and busy:
+                board = busy.pop(rng.randrange(len(busy)))
+                session = rng.choice((None, f"sess-{rng.randrange(5)}"))
+                index.release(board, session)
+                free[board] = next_rank
+                resident[board] = session
+                next_rank += 1
+            elif action < 0.85 and free:
+                # Idle eviction: the residency goes, the rank stays.
+                board = rng.choice(sorted(free))
+                index.release(board, None)
+                resident[board] = None
+            elif action < 0.93:
+                index.add_board(next_name)
+                free[next_name] = next_rank
+                resident[next_name] = None
+                next_rank += 1
+                next_name += 1
+            elif free:
+                # Autoscaler drain: the longest-idle board retires.
+                board = index.free_names[0]
+                assert board == min(free, key=free.get)
+                index.discard(board)
+                del free[board], resident[board]
+            assert len(index) == len(free)
+            assert index.free_names == sorted(free, key=free.get)
+            assert all(name in index for name in free)
+            assert not any(name in index for name in busy)
+    with pytest.raises(SchedulingError):
+        BoardIndex([]).place("sess-0", affinity)
 
 
 def test_policies_registry_builds_fresh_state():

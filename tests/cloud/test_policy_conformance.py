@@ -248,14 +248,15 @@ def test_indexed_queue_matches_linear_scan_on_randomized_queues(policy):
     (seq tie-breaks included) to the linear ``select()`` scan it replaced.
 
     Two queues run the same randomized operation stream -- the policy's
-    indexed queue and a :class:`~repro.cloud.policies.LinearPolicyQueue` over
+    indexed queue and a :class:`~tests.cloud.policy_oracle.LinearPolicyQueue` over
     a second policy instance (fair-share keeps per-tenant served state, so
     each queue drives its own) -- and every pop, filtered pop, removal, and
     pending count must agree exactly.
     """
     import random
 
-    from repro.cloud.policies import LinearPolicyQueue, make_policy
+    from repro.cloud.policies import make_policy
+    from tests.cloud.policy_oracle import LinearPolicyQueue
 
     policy_index = list(POLICY_NAMES).index(policy)
     for trial in range(8):

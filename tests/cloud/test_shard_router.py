@@ -213,12 +213,9 @@ def test_partition_preserves_jobs_and_session_locality():
             assert seen.setdefault(event.session, shard) == shard
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_replay_sharded_merges_shard_stats(executor):
+def test_replay_sharded_merges_shard_stats():
     trace = generate_trace(6000, seed=21, rate_jobs_per_s=100.0)
-    report = replay_sharded(
-        trace, num_shards=8, boards_per_shard=4, executor=executor
-    )
+    report = replay_sharded(trace, num_shards=8, boards_per_shard=4)
     assert report.jobs == len(trace)
     assert len(report.shard_stats) == 8
     assert report.warm_hits == sum(
@@ -236,18 +233,36 @@ def test_replay_sharded_merges_shard_stats(executor):
     assert len(experiment.rows) == 8
 
 
-def test_replay_sharded_is_executor_invariant():
-    """Modelled results must be bit-identical whatever runs the workers."""
-    trace = generate_trace(3000, seed=33, rate_jobs_per_s=100.0)
-    serial = replay_sharded(trace, num_shards=4, boards_per_shard=4,
-                            executor="serial")
-    threaded = replay_sharded(trace, num_shards=4, boards_per_shard=4,
-                              executor="thread")
-    for shard in serial.shard_stats:
-        a, b = serial.shard_stats[shard], threaded.shard_stats[shard]
-        assert a.jobs == b.jobs
-        assert a.makespan_s == b.makespan_s
-        assert a.warm_hits == b.warm_hits
-        assert a.waits == b.waits
+@pytest.mark.parametrize("executor", ["fork-bomb", "thread", "process"])
+def test_replay_sharded_rejects_unknown_executors(executor):
+    trace = generate_trace(100, seed=33, rate_jobs_per_s=100.0)
     with pytest.raises(ShardingError):
-        replay_sharded(trace, executor="fork-bomb")
+        replay_sharded(trace, executor=executor)
+
+
+def test_empty_shards_render_wait_percentiles_as_none():
+    """A shard (or a whole trace) with no jobs has no wait percentiles: the
+    report says ``None`` rather than crashing or inventing ``0.0``."""
+    report = replay_sharded(
+        generate_trace(3, seed=1), num_shards=8, boards_per_shard=4
+    )
+    experiment = report.to_experiment()
+    empty = [row for row in experiment.rows if row["jobs"] == 0]
+    assert empty and all(row["wait_p99_s"] is None for row in empty)
+    assert experiment.metadata["wait_p50_s"] is not None
+
+    nothing = replay_sharded([], num_shards=2, boards_per_shard=1).to_experiment()
+    assert nothing.metadata["jobs"] == 0
+    for key in ("wait_p50_s", "wait_p99_s", "wait_p999_s"):
+        assert nothing.metadata[key] is None
+
+
+def test_shard_replay_cli_survives_empty_shards():
+    """``shard-replay --shards 8 --jobs 3`` leaves most shards empty."""
+    import io
+
+    from repro.cli import main
+
+    out = io.StringIO()
+    assert main(["shard-replay", "--shards", "8", "--jobs", "3"], out=out) == 0
+    assert "replayed          : 3 jobs / 8 shards" in out.getvalue()
